@@ -55,7 +55,6 @@ def build_config(args) -> dict:
             "loss_sigmas": [round(0.05 * i, 2) for i in range(11)],
             "hidden_width": hidden,
             "depth": n_hidden,
-            "workers": args.workers,
             "mc_samples": 1000 if args.full else 50,
         },
     }
@@ -68,7 +67,6 @@ def main():
     parser.add_argument("--mnist", help="directory with the MNIST IDX files")
     parser.add_argument("--full", action="store_true", help="full-scale settings")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument(
         "--axes",
         default="depth,width,sigma,loss_sigma",

@@ -2,6 +2,7 @@
 
 from .bounds import (
     METHODS,
+    AffineLnCover,
     BoundError,
     BoundOverflowError,
     BoundPreconditionError,
@@ -9,11 +10,6 @@ from .bounds import (
     LnCover,
     ln_cover,
     ln_cover_fn,
-    ln_cover_lipschitz,
-    ln_cover_norm_based,
-    ln_cover_ours,
-    ln_cover_pdim,
-    ln_cover_spectral,
     pdim_capacity,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -24,6 +20,7 @@ from .genbound import (
     NvacResult,
     dudley_integral,
     full_gb,
+    invert_nvac,
     solve_nvac,
 )
 from .mlp import (

@@ -2,13 +2,18 @@
 
 Five calculators share one query type. All of them bound
 ln N_U(eps, F_gamma, m, ||.||_2^{l2}) for the class of T-layer sigmoid
-networks composed with the margin-gamma ramp loss:
+networks composed with the margin-gamma ramp loss, and every one of them is
+affine in ln m at a fixed eps, so each evaluates to one AffineLnCover
+(a, b, ln_m_min) meaning ln N = a + b ln m for ln m > ln_m_min:
 
   ours        noise-composition bound for noisy networks (no weight norms)
   norm_based  incoming-l1-norm product bound
   pdim        pseudo-dimension counting bound
   lipschitz   weight-norm Lipschitz bound
   spectral    spectral-norm / (2,1)-norm product bound
+
+norm_based and spectral do not depend on m (b = 0); ours has b = d p_1,
+lipschitz b = p_T W_rvo, and pdim b = p_T P with ln_m_min = ln P.
 
 Every product of factors is accumulated as a sum of logarithms; sigma and
 the sample count enter only through their logs, so queries with sigma far
@@ -35,7 +40,10 @@ class BoundError(Exception):
 
 
 class BoundPreconditionError(BoundError):
-    """A precondition of the chosen formula is violated."""
+    """A precondition of the chosen formula is violated.
+
+    When the formula needs a larger sample count, required_m holds it.
+    """
 
 
 class BoundOverflowError(BoundError):
@@ -60,7 +68,7 @@ class BoundQuery:
     quant: ArchQuantifiers
 
     def __post_init__(self):
-        if self.method not in METHODS and not self.method.startswith("const:"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
@@ -68,6 +76,23 @@ class BoundQuery:
             raise ValueError("m must be >= 1")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
+
+
+@dataclass(frozen=True)
+class AffineLnCover:
+    """ln N = a + b ln m at one eps, valid for ln m > ln_m_min."""
+
+    a: float
+    b: float = 0.0
+    ln_m_min: float = -math.inf
+
+    def at(self, ln_m: float) -> float:
+        if ln_m <= self.ln_m_min:
+            required_m = math.exp(self.ln_m_min)
+            err = BoundPreconditionError(f"bound needs m > {required_m:.6g}")
+            err.required_m = required_m
+            raise err
+        return self.a + self.b * ln_m
 
 
 @dataclass(frozen=True)
@@ -90,7 +115,7 @@ def _exp_guarded(ln_value: float, method: str) -> float:
 # --- noise-composition bound ------------------------------------------------
 
 
-def _ours_plain(dims: tuple[int, ...], eps: float, ln_sigma: float, ln_m: float) -> float:
+def _ours_plain(dims: tuple[int, ...], eps: float, ln_sigma: float) -> AffineLnCover:
     """Composed noisy-network bound in its un-margined form.
 
     Per inner layer i >= 2 the factor is
@@ -98,7 +123,8 @@ def _ours_plain(dims: tuple[int, ...], eps: float, ln_sigma: float, ln_m: float)
           sqrt(ln((5 T sqrt(pT) p_{i-1} - eps sigma) / (eps sigma)))
           / (eps^{3/2} sigma^2) * ln(5 T p_{i-1} sqrt(pT) / (eps sigma))
     weighted by p_i * p_{i-1}; the first layer contributes
-        d p_1 ln(T e m sqrt(pT) / (2 eps sigma)).
+        d p_1 ln(T e m sqrt(pT) / (2 eps sigma)),
+    the only term that depends on m.
     """
     _check_eps(eps)
     d, *p = dims
@@ -130,23 +156,17 @@ def _ours_plain(dims: tuple[int, ...], eps: float, ln_sigma: float, ln_m: float)
             + math.log(ln_r)
         )
         total += p[i] * p_prev * ln_factor
-    first = d * p[0] * (
-        math.log(t * math.e * math.sqrt(p_t) / 2.0) + ln_m - math.log(eps) - ln_sigma
-    )
-    return total + first
-
-
-def _ours_ln(
-    dims, eps: float, gamma: float, ln_sigma: float, ln_m: float, margin_adjusted: bool
-) -> float:
-    # the ramp-composed form is the plain form evaluated at gamma*eps/2
-    return _ours_plain(dims, gamma * eps / 2.0 if margin_adjusted else eps, ln_sigma, ln_m)
+    b = d * p[0]
+    first = b * (math.log(t * math.e * math.sqrt(p_t) / 2.0) - math.log(eps) - ln_sigma)
+    return AffineLnCover(total + first, b)
 
 
 # --- norm-based bound -------------------------------------------------------
 
 
-def _norm_based_ln(d: int, p_t: int, t: int, v: float, eps: float, gamma: float) -> float:
+def _norm_based_ln(
+    d: int, p_t: int, t: int, v: float, eps: float, gamma: float
+) -> AffineLnCover:
     """log2 N <= (pT/2) (2 sqrt(pT)/(gamma eps))^{2T} (2V)^{T(T+1)} log2(2d+2)."""
     _check_eps(eps)
     if v <= 0:
@@ -158,7 +178,7 @@ def _norm_based_ln(d: int, p_t: int, t: int, v: float, eps: float, gamma: float)
         + math.log(math.log2(2.0 * d + 2.0))
         + math.log(math.log(2.0))
     )
-    return _exp_guarded(ln_ln_n, "norm_based")
+    return AffineLnCover(_exp_guarded(ln_ln_n, "norm_based"))
 
 
 # --- pseudo-dimension bound -------------------------------------------------
@@ -171,41 +191,39 @@ def pdim_capacity(w_rvo: int, r_rvo: int) -> float:
 
 
 def _pdim_ln(
-    p_t: int, w_rvo: int | None, r_rvo: int | None, eps: float, gamma: float, ln_m: float
-) -> float:
+    p_t: int, w_rvo: int | None, r_rvo: int | None, eps: float, gamma: float
+) -> AffineLnCover:
+    """ln N <= p_T P ln(2 sqrt(pT) e m / (P gamma eps)), valid for m > P."""
     _check_eps(eps)
     if w_rvo is None or r_rvo is None:
         raise BoundPreconditionError("pseudo-dim bound needs depth >= 2")
     cap = pdim_capacity(w_rvo, r_rvo)
-    if ln_m <= math.log(cap):
-        err = BoundPreconditionError(
-            f"pseudo-dim bound needs m > {cap:.6g} (capacity term)"
-        )
-        err.required_m = cap
-        raise err
-    return p_t * cap * (
-        math.log(2.0 * math.sqrt(p_t) * math.e) + ln_m - math.log(cap) - math.log(gamma * eps)
-    )
+    b = p_t * cap
+    ln_cap = math.log(cap)
+    a = b * (math.log(2.0 * math.sqrt(p_t) * math.e) - ln_cap - math.log(gamma * eps))
+    return AffineLnCover(a, b, ln_cap)
 
 
 # --- Lipschitzness bound ----------------------------------------------------
 
 
 def _lipschitz_ln(
-    p_t: int, w_rvo: int | None, t: int, v: float, eps: float, gamma: float, ln_m: float
-) -> float:
+    p_t: int, w_rvo: int | None, t: int, v: float, eps: float, gamma: float
+) -> AffineLnCover:
+    """ln N <= p_T W ln(4 e sqrt(pT) W m V^T / (gamma eps (V - 1)))."""
     _check_eps(eps)
     if w_rvo is None:
         raise BoundPreconditionError("Lipschitz bound needs depth >= 2")
     if v <= 1.0:
         raise BoundPreconditionError("Lipschitz bound undefined for V <= 1")
-    return p_t * w_rvo * (
+    b = p_t * w_rvo
+    a = b * (
         math.log(4.0 * math.e * math.sqrt(p_t) * w_rvo)
-        + ln_m
         + t * math.log(v)
         - math.log(gamma * eps)
         - math.log(v - 1.0)
     )
+    return AffineLnCover(a, b)
 
 
 # --- spectral bound ---------------------------------------------------------
@@ -214,7 +232,7 @@ def _lipschitz_ln(
 def _spectral_ln(
     w_max: int, s: tuple[float, ...], b: tuple[float, ...], x_frob: float,
     eps: float, gamma: float,
-) -> float:
+) -> AffineLnCover:
     """4 ||X||_F^2 ln(2 w^2) / (gamma eps)^2 * prod s_i^2 * (sum (b_i/s_i)^{2/3})^3."""
     _check_eps(eps)
     ratio_sum = 0.0
@@ -226,10 +244,10 @@ def _spectral_ln(
                 raise BoundPreconditionError(
                     f"layer {i + 1}: zero spectral norm with nonzero (2,1) norm"
                 )
-            return 0.0  # zero layer collapses the class to a constant
+            return AffineLnCover(0.0)  # zero layer collapses the class to a constant
         ratio_sum += (b_i / s_i) ** (2.0 / 3.0)
     if x_frob == 0.0 or ratio_sum == 0.0:
-        return 0.0
+        return AffineLnCover(0.0)
     ln_value = (
         math.log(4.0)
         + 2.0 * math.log(x_frob)
@@ -238,7 +256,7 @@ def _spectral_ln(
         + 2.0 * sum(math.log(s_i) for s_i in s)
         + 3.0 * math.log(ratio_sum)
     )
-    return _exp_guarded(ln_value, "spectral")
+    return AffineLnCover(_exp_guarded(ln_value, "spectral"))
 
 
 # --- public API ---------------------------------------------------------------
@@ -251,18 +269,12 @@ def ln_cover_fn(
     gamma: float,
     margin_adjusted: bool = True,
     ln_sigma: float | None = None,
-) -> Callable[[float, float], float]:
-    """Build f(eps, ln_m) -> ln N for one method.
+) -> Callable[[float], AffineLnCover]:
+    """Build eps -> AffineLnCover for one method.
 
     ln_sigma overrides ln(arch.sigma); this is how noise scales below the
-    double underflow threshold are queried. The synthetic method tag
-    "const:<c>" yields a constant function, used for solver self-tests.
+    double underflow threshold are queried.
     """
-    if method.startswith("const:"):
-        c = float(method.split(":", 1)[1])
-        if c < 0:
-            raise ValueError("constant ln N must be nonnegative")
-        return lambda eps, ln_m: c
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
 
@@ -275,48 +287,24 @@ def ln_cover_fn(
                 raise BoundPreconditionError("noise-composition bound needs sigma > 0")
             ln_sigma = math.log(arch.sigma)
         dims = arch.dims
-        return lambda eps, ln_m: _ours_ln(dims, eps, gamma, ln_sigma, ln_m, margin_adjusted)
+        # the ramp-composed form is the plain form evaluated at gamma*eps/2
+        return lambda eps: _ours_plain(
+            dims, gamma * eps / 2.0 if margin_adjusted else eps, ln_sigma
+        )
     if method == "norm_based":
-        return lambda eps, ln_m: _norm_based_ln(d, p_t, t, quant.V, eps, gamma)
+        return lambda eps: _norm_based_ln(d, p_t, t, quant.V, eps, gamma)
     if method == "pdim":
-        return lambda eps, ln_m: _pdim_ln(p_t, quant.W_rvo, quant.r_rvo, eps, gamma, ln_m)
+        return lambda eps: _pdim_ln(p_t, quant.W_rvo, quant.r_rvo, eps, gamma)
     if method == "lipschitz":
-        return lambda eps, ln_m: _lipschitz_ln(p_t, quant.W_rvo, t, quant.V, eps, gamma, ln_m)
+        return lambda eps: _lipschitz_ln(p_t, quant.W_rvo, t, quant.V, eps, gamma)
     # spectral
-    return lambda eps, ln_m: _spectral_ln(quant.w, quant.s, quant.b, quant.x_frob, eps, gamma)
+    return lambda eps: _spectral_ln(quant.w, quant.s, quant.b, quant.x_frob, eps, gamma)
 
 
 def ln_cover(query: BoundQuery, margin_adjusted: bool = True) -> LnCover:
     """Evaluate one bound at a query; raises typed BoundError subclasses."""
     fn = ln_cover_fn(query.method, query.arch, query.quant, query.gamma, margin_adjusted)
-    ln_n = fn(query.epsilon, math.log(query.m))
-    return LnCover(ln_n=ln_n, query=query)
-
-
-def ln_cover_ours(query: BoundQuery, margin_adjusted: bool = True) -> LnCover:
-    return ln_cover(_with_method(query, "ours"), margin_adjusted)
-
-
-def ln_cover_norm_based(query: BoundQuery) -> LnCover:
-    return ln_cover(_with_method(query, "norm_based"))
-
-
-def ln_cover_pdim(query: BoundQuery) -> LnCover:
-    return ln_cover(_with_method(query, "pdim"))
-
-
-def ln_cover_lipschitz(query: BoundQuery) -> LnCover:
-    return ln_cover(_with_method(query, "lipschitz"))
-
-
-def ln_cover_spectral(query: BoundQuery) -> LnCover:
-    return ln_cover(_with_method(query, "spectral"))
-
-
-def _with_method(query: BoundQuery, method: str) -> BoundQuery:
-    if query.method == method:
-        return query
-    return BoundQuery(method, query.epsilon, query.m, query.gamma, query.arch, query.quant)
+    return LnCover(ln_n=fn(query.epsilon).at(math.log(query.m)), query=query)
 
 
 def bound_report(result: LnCover) -> dict:

@@ -14,7 +14,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -86,7 +85,6 @@ _SCHEMA = {
         "loss_sigmas": (list,),
         "hidden_width": (int,),
         "depth": (int,),
-        "workers": (int,),
         "mc_samples": (int,),
     },
 }
@@ -111,7 +109,22 @@ def load_config(path) -> dict:
     with open(path) as f:
         cfg = json.load(f)
     validate_config(cfg)
+    _check_methods(cfg.get("methods", ()))
     return cfg
+
+
+def _check_methods(methods) -> list:
+    unknown = [mth for mth in methods if mth not in bnd.METHODS]
+    if unknown:
+        raise ConfigError(
+            f"unknown method {', '.join(map(repr, unknown))}; "
+            f"choose from {','.join(ALL_METHODS)}"
+        )
+    return list(methods)
+
+
+def _methods_arg(args) -> list:
+    return _check_methods(args.methods.split(",")) if args.methods else ALL_METHODS
 
 
 def _load_data(cfg: dict, mnist_dir=None):
@@ -260,7 +273,7 @@ def cmd_bounds(args) -> int:
     cfg = load_config(args.config) if args.config else {}
     train, _, _ = _load_data(cfg, args.mnist)
     quant = _quantifiers_for(params, train)
-    methods = args.methods.split(",") if args.methods else ALL_METHODS
+    methods = _methods_arg(args)
     m = args.m if args.m is not None else len(train)
 
     rows = []
@@ -305,7 +318,7 @@ def _nvac_rows(params, quant, m, ramp_loss, methods, ln_sigma=None):
             )
             base.update(epsilon=res.epsilon_used, log10_nvac=res.nvac_log10, error="")
             if not res.converged:
-                base["error"] = "no crossing below the search ceiling"
+                base["error"] = "NVAC solver did not converge"
         except (bnd.BoundError, genbound.NvacError) as e:
             base.update(epsilon=(1.0 - ramp_loss) / 10.0, log10_nvac="", error=str(e))
         rows.append(base)
@@ -327,7 +340,7 @@ def cmd_nvac(args) -> int:
     cfg = load_config(args.config) if args.config else {}
     train, _, _ = _load_data(cfg, args.mnist)
     quant = _quantifiers_for(params, train)
-    methods = args.methods.split(",") if args.methods else ALL_METHODS
+    methods = _methods_arg(args)
     mc = cfg.get("nvac", {}).get("mc_samples", 50)
 
     ramp_loss = cfg.get("nvac", {}).get("ramp_loss")
@@ -385,16 +398,8 @@ def cmd_sweep(args) -> int:
     gamma = arch_cfg.get("gamma", 0.1)
     sigma = arch_cfg.get("sigma", 0.05)
     methods = cfg.get("methods", ALL_METHODS)
-    workers = sweep.get("workers", 1)
     axis = args.axis
 
-    def gather(values, fn):
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(fn, values))
-        return [fn(v) for v in values]
-
-    rows = []
     if axis in ("depth", "width"):
         hidden_width = sweep.get("hidden_width", 250)
         depth = sweep.get("depth", 3)
@@ -422,9 +427,6 @@ def cmd_sweep(args) -> int:
                 return [{axis: value, "method": mth, "log10_nvac": "", "error": str(e)}
                         for mth in methods]
 
-        for out in gather(values, point):
-            rows.extend(out)
-
     elif axis == "sigma":
         if args.checkpoint:
             params, _ = ckpt.load_checkpoint(args.checkpoint)
@@ -449,9 +451,6 @@ def cmd_sweep(args) -> int:
                 r["sigma"] = ""
             return out
 
-        for out in gather(values, point):
-            rows.extend(out)
-
     elif axis == "loss_sigma":
         values = sweep.get("loss_sigmas", [round(0.05 * i, 2) for i in range(11)])
         mc = sweep.get("mc_samples", 1000)
@@ -472,11 +471,9 @@ def cmd_sweep(args) -> int:
             except Exception as e:
                 return [{"sigma": sig, "train_zero_one": "", "test_zero_one": "",
                          "train_ramp": "", "test_ramp": "", "error": str(e)}]
-
-        for out in gather(values, point):
-            rows.extend(out)
     else:
         raise ConfigError(f"unknown sweep axis {axis!r}")
+    rows = [row for value in values for row in point(value)]
 
     path = out_dir / f"sweep_{axis}.csv"
     _write_csv(path, SWEEP_HEADERS[axis], rows)
@@ -564,7 +561,7 @@ def _check_greedy_vs_lipschitz() -> dict:
     # rescaling gamma*eps/2 equal eps, so the empirical cover at eps is
     # comparable with the bound at the same eps
     quant = norms.ArchQuantifiers(
-        d_max=2, W_rvo=2 * 2 + 2, W_win=4, r_rvo=3, w=2, V=2.0,
+        W_rvo=2 * 2 + 2, r_rvo=3, w=2, V=2.0,
         s=(1.0, 1.0), b=(1.0, 1.0), x_frob=1.0,
     )
     worst = -math.inf
@@ -572,7 +569,7 @@ def _check_greedy_vs_lipschitz() -> dict:
     for eps in (0.05, 0.1, 0.2):
         size = oracle.greedy_cover(points, eps, metric="ext-l2")
         fn = bnd.ln_cover_fn("lipschitz", arch, quant, gamma=2.0)
-        ln_bound = fn(eps, math.log(len(inputs)))
+        ln_bound = fn(eps).at(math.log(len(inputs)))
         worst = max(worst, math.log(size) - ln_bound)
         trials += 1
     return {"check": "greedy_cover_vs_lipschitz_bound", "trials": trials,
@@ -637,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nvac", help="NVAC per method for a trained checkpoint")
     common(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--methods", help="comma-separated; const:<c> runs the solver self-test")
+    p.add_argument("--methods", help="comma-separated subset of " + ",".join(ALL_METHODS))
     p.set_defaults(fn=cmd_nvac)
 
     p = sub.add_parser("sweep", help="regenerate a figure dataset")

@@ -1,8 +1,9 @@
 """Entropy-integral generalization bounds and the NVAC solver.
 
-Both consumers take ln-covering-number callables produced by
-bounds.ln_cover_fn, so any of the five methods (or a synthetic constant)
-plugs in unchanged.
+The entropy integrals take any callable nu -> ln N(nu). The NVAC solver
+takes the affine terms ln N = a + b ln M that bounds.ln_cover_fn produces
+at one eps, and inverts them directly: in closed form when b = 0, by a
+few Newton steps on the concave crossing condition when b > 0.
 """
 
 from __future__ import annotations
@@ -13,13 +14,13 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import BoundPreconditionError, ln_cover_fn, pdim_capacity
+from .bounds import AffineLnCover, ln_cover_fn
 from .mlp import NetworkArch
 from .norms import ArchQuantifiers
 
-LOG10_M_CEILING = 400.0  # search ceiling for the replicated sample count
 _LN10 = math.log(10.0)
 _LN_MAX = math.log(1.7976931348623157e308)
+_NEWTON_MAX_ITER = 100
 
 
 class NvacError(ValueError):
@@ -118,19 +119,21 @@ def _nvac_result(
 ) -> NvacResult:
     """Package M* (the replicated count) as n* = ceil(M*/m) and NVAC = m n*.
 
-    M* may arrive as a plain double or, beyond the double range, as ln M*.
+    M* may arrive as a plain double or, beyond the double range, as ln M*;
+    in log space M*/m is exp(ln M* - ln m), so M* = m gives n* = 1 exactly.
     The ceiling is applied only while M*/m is exactly representable.
     """
     if m_star is None:
-        m_star = math.exp(ln_m_star) if ln_m_star <= _LN_MAX else math.inf
-    if ln_m_star is None:
-        ln_m_star = math.log(m_star)
+        ln_n = ln_m_star - math.log(m)
+        ratio = math.exp(ln_n) if ln_n <= _LN_MAX else math.inf
+    else:
+        ln_n = math.log(m_star) - math.log(m)
+        ratio = m_star / m
 
-    if math.isfinite(m_star) and m_star / m < 2**53:
-        n_star = max(1.0, float(math.ceil(m_star / m)))
+    if ratio < 2**53:
+        n_star = float(math.ceil(ratio))
         n_star_log10 = math.log10(n_star)
     else:
-        ln_n = ln_m_star - math.log(m)
         n_star = math.exp(ln_n) if ln_n <= _LN_MAX else math.inf
         n_star_log10 = ln_n / _LN10
     nvac_log10 = math.log10(m) + n_star_log10
@@ -147,6 +150,70 @@ def _nvac_result(
     )
 
 
+def _nvac_epsilon(ramp_loss: float, m: float) -> float:
+    if ramp_loss < 0.0:
+        raise NvacError("ramp_loss must be nonnegative")
+    if ramp_loss >= 1.0:
+        raise NvacError("ramp_loss >= 1: bound is vacuous already")
+    if m < 1:
+        raise NvacError("m must be >= 1")
+    return (1.0 - ramp_loss) / 10.0
+
+
+def invert_nvac(
+    terms: AffineLnCover, m: float, ramp_loss: float, method: str = "affine"
+) -> NvacResult:
+    """Smallest M >= m with 36 (a + b ln M) / eps^2 <= M, as NVAC = m ceil(M/m).
+
+    terms are the affine ln-cover terms at eps = (1 - ramp_loss) / 10. With
+    k = 36 / eps^2, b = 0 inverts in closed form, M* = max(k a, m). For
+    b > 0 the excess g(L) = ln k + ln(a + b L) - L (L = ln M) is concave
+    with its maximum at L = 1 - a/b; M* is its larger root. Newton started
+    right of the maximum overshoots at most once and then decreases
+    monotonically onto the root, so every later iterate is an upper bound
+    on M*; the last one is stepped up by ulps until g(L) <= 0 holds beyond
+    the rounding error of g.
+    """
+    eps = _nvac_epsilon(ramp_loss, m)
+    a, b = terms.a, terms.b
+    factor = 36.0 / (eps * eps)
+    ln_factor = math.log(36.0) - 2.0 * math.log(eps)
+
+    if b == 0.0:
+        crossing = factor * a
+        if math.isfinite(crossing):
+            return _nvac_result(method, eps, ramp_loss, m, True, m_star=max(crossing, float(m)))
+        return _nvac_result(method, eps, ramp_loss, m, True, ln_m_star=ln_factor + math.log(a))
+
+    def excess(ln_big_m: float) -> float:
+        # positive while the bound is still vacuous at M = exp(ln_big_m)
+        ln_n = a + b * ln_big_m
+        return ln_factor + math.log(ln_n) - ln_big_m if ln_n > 0.0 else -math.inf
+
+    ln_floor = max(math.log(m), math.nextafter(terms.ln_m_min, math.inf))
+    if excess(ln_floor) <= 0.0:
+        return _nvac_result(method, eps, ramp_loss, m, True, ln_m_star=ln_floor)
+
+    # one unit right of the maximum the slope is -1/2
+    ln_big_m = max(ln_floor, 2.0 - a / b)
+    converged = False
+    for _ in range(_NEWTON_MAX_ITER):
+        slope = b / (a + b * ln_big_m) - 1.0
+        step = excess(ln_big_m) / slope
+        ln_big_m -= step
+        if abs(step) <= 1e-12 * max(1.0, abs(ln_big_m)):
+            converged = True
+            break
+    # excess() carries a few ulps of rounding: step up by ulps, doubling,
+    # until it is negative beyond that, so exp(L) stays an upper bound on M*
+    margin = 4.0 * math.ulp(max(ln_factor, ln_big_m))
+    ulps = math.ulp(ln_big_m)
+    while excess(ln_big_m) > -margin:
+        ln_big_m += ulps
+        ulps *= 2.0
+    return _nvac_result(method, eps, ramp_loss, m, converged, ln_m_star=ln_big_m)
+
+
 def solve_nvac(
     method: str,
     arch: NetworkArch,
@@ -154,77 +221,15 @@ def solve_nvac(
     m: float,
     gamma: float,
     ramp_loss: float,
-    margin_adjusted: bool = True,
     ln_sigma: float | None = None,
 ) -> NvacResult:
     """Smallest replicated sample count at which the bound stops being vacuous.
 
     With eps = (1 - ramp_loss) / 10, find the smallest M = m * n satisfying
         (6 / sqrt(M)) sqrt(ln N(eps, M)) <= eps
-    equivalently 36 ln N(eps, M) / eps^2 <= M. ln N grows at most
-    logarithmically in M (or not at all), so the crossing point is unique;
-    m-independent methods invert in closed form, the rest are bracketed by
-    doubling and bisected in ln M to relative 1e-6. NVAC is m * ceil(M/m).
+    equivalently 36 ln N(eps, M) / eps^2 <= M, by inverting the method's
+    affine terms at eps (invert_nvac). NVAC is m * ceil(M/m).
     """
-    if ramp_loss < 0.0:
-        raise NvacError("ramp_loss must be nonnegative")
-    if ramp_loss >= 1.0:
-        raise NvacError("ramp_loss >= 1: bound is vacuous already")
-    if m < 1:
-        raise NvacError("m must be >= 1")
-    eps = (1.0 - ramp_loss) / 10.0
-
-    if callable(method):
-        fn = method
-        method = getattr(method, "__name__", "custom")
-    else:
-        fn = ln_cover_fn(method, arch, quant, gamma, margin_adjusted, ln_sigma)
-    factor = 36.0 / (eps * eps)
-    ln_factor = math.log(36.0) - 2.0 * math.log(eps)
-
-    ln_floor = math.log(m)
-    if method == "pdim":
-        if quant.W_rvo is None or quant.r_rvo is None:
-            raise BoundPreconditionError("pseudo-dim bound needs depth >= 2")
-        # the formula is only valid for M > P
-        ln_floor = max(ln_floor, math.log(pdim_capacity(quant.W_rvo, quant.r_rvo)) + 1e-9)
-
-    def excess(ln_big_m: float) -> float:
-        # positive while the bound is still vacuous at M = exp(ln_big_m)
-        return ln_factor + math.log(fn(eps, ln_big_m)) - ln_big_m
-
-    ln_ceiling = LOG10_M_CEILING * _LN10
-
-    # m-independent bounds invert in closed form
-    probe = fn(eps, ln_floor)
-    if not math.isfinite(probe):
-        return _nvac_result(method, eps, ramp_loss, m, False, ln_m_star=ln_ceiling)
-    if probe == fn(eps, ln_floor + math.log(4.0)):
-        if probe == 0.0:
-            return _nvac_result(method, eps, ramp_loss, m, True, m_star=float(m))
-        crossing = factor * probe
-        if math.isfinite(crossing):
-            return _nvac_result(
-                method, eps, ramp_loss, m, True, m_star=max(crossing, float(m))
-            )
-        return _nvac_result(
-            method, eps, ramp_loss, m, True, ln_m_star=ln_factor + math.log(probe)
-        )
-
-    if excess(ln_floor) <= 0.0:
-        return _nvac_result(method, eps, ramp_loss, m, True, ln_m_star=ln_floor)
-
-    lo = ln_floor
-    hi = lo
-    while excess(hi) > 0.0:
-        lo = hi
-        hi += math.log(2.0)
-        if hi > ln_ceiling:
-            return _nvac_result(method, eps, ramp_loss, m, False, ln_m_star=ln_ceiling)
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        if excess(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return _nvac_result(method, eps, ramp_loss, m, True, ln_m_star=hi)
+    eps = _nvac_epsilon(ramp_loss, m)
+    terms = ln_cover_fn(method, arch, quant, gamma, ln_sigma=ln_sigma)(eps)
+    return invert_nvac(terms, m, ramp_loss, method)

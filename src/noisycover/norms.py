@@ -75,9 +75,7 @@ class ArchQuantifiers:
     single-layer networks and the bounds that need them refuse to run.
     """
 
-    d_max: int
     W_rvo: int | None
-    W_win: int
     r_rvo: int | None
     w: int
     V: float
@@ -99,9 +97,7 @@ def count_quantifiers(arch: NetworkArch) -> dict:
         w_rvo = None
         r_rvo = None
     return {
-        "d_max": max(hidden) if hidden else 0,
         "W_rvo": w_rvo,
-        "W_win": sum(p[i] * p[i - 1] for i in range(1, T)),
         "r_rvo": r_rvo,
         "w": max(d, *p),
     }
@@ -130,9 +126,7 @@ def quantifiers(
     b = tuple(two_one_norm(w) for w in params.weights)
     v = max(one_inf_norm(w) for w in params.weights)
     return ArchQuantifiers(
-        d_max=counts["d_max"],
         W_rvo=counts["W_rvo"],
-        W_win=counts["W_win"],
         r_rvo=counts["r_rvo"],
         w=counts["w"],
         V=v,

@@ -19,8 +19,7 @@ def tiny_arch():
 def tiny_quant():
     # hand-filled norms for a (3, [4, 3, 2]) network
     return nc.ArchQuantifiers(
-        d_max=4, W_rvo=3 * 4 + 4 * 3 + 3, W_win=4 * 3 + 3 * 2, r_rvo=1 + 4 + 3,
-        w=4, V=2.5, s=(1.5, 1.2, 0.9), b=(3.0, 2.2, 1.4), x_frob=0.8,
+        W_rvo=3 * 4 + 4 * 3 + 3, r_rvo=1 + 4 + 3, w=4, V=2.5, s=(1.5, 1.2, 0.9), b=(3.0, 2.2, 1.4), x_frob=0.8,
     )
 
 

@@ -42,8 +42,7 @@ needs_mnist = pytest.mark.skipif(
 BASELINE = nc.NetworkArch(784, (250, 250, 250, 10), sigma=0.05, gamma=0.1)
 BASELINE_COUNTS = nc.norms.count_quantifiers(BASELINE)
 BASELINE_QUANT = nc.ArchQuantifiers(
-    d_max=250, W_rvo=BASELINE_COUNTS["W_rvo"], W_win=BASELINE_COUNTS["W_win"],
-    r_rvo=BASELINE_COUNTS["r_rvo"], w=784,
+    W_rvo=BASELINE_COUNTS["W_rvo"], r_rvo=BASELINE_COUNTS["r_rvo"], w=784,
     V=10.0, s=(3.0, 2.0, 2.0, 1.5), b=(40.0, 25.0, 25.0, 8.0), x_frob=9.2,
 )
 
@@ -69,9 +68,7 @@ class TestCriterion1FormulaFidelity:
             counts = nc.norms.count_quantifiers(arch)
             s = tuple(float(rng.uniform(0.2, 5.0)) for _ in widths)
             quant = nc.ArchQuantifiers(
-                d_max=counts["d_max"], W_rvo=counts["W_rvo"], W_win=counts["W_win"],
-                r_rvo=counts["r_rvo"], w=counts["w"],
-                V=float(rng.uniform(1.1, 15.0)), s=s,
+                **counts, V=float(rng.uniform(1.1, 15.0)), s=s,
                 b=tuple(si * float(rng.uniform(1.0, 5.0)) for si in s),
                 x_frob=float(rng.uniform(0.1, 15.0)),
             )
@@ -82,7 +79,7 @@ class TestCriterion1FormulaFidelity:
                 m = float(pdim_capacity(quant.W_rvo, quant.r_rvo)) * float(
                     rng.uniform(2.0, 50.0)
                 )
-            got = ln_cover_fn(method, arch, quant, gamma)(eps, math.log(m))
+            got = ln_cover_fn(method, arch, quant, gamma)(eps).at(math.log(m))
             want = float(oracles.oracle_ln(method, arch, quant, eps, gamma, m))
             rel = abs(got - want) / abs(want)
             worst = max(worst, rel)
@@ -92,18 +89,13 @@ class TestCriterion1FormulaFidelity:
 
 class TestCriterion2NvacClosedForm:
     def test_twenty_random_constant_inversions(self):
-        arch = nc.NetworkArch(4, (3, 2), sigma=0.05, gamma=0.1)
-        quant = nc.ArchQuantifiers(
-            d_max=3, W_rvo=15, W_win=6, r_rvo=4, w=4,
-            V=2.0, s=(1.0, 1.0), b=(1.0, 1.0), x_frob=1.0,
-        )
         rng = np.random.default_rng(20240)
         for _ in range(20):
             c = float(rng.uniform(1e-2, 1e9))
             ramp = float(rng.uniform(0.0, 0.95))
             m = int(rng.integers(5, 10**7))
             eps = (1.0 - ramp) / 10.0
-            res = nc.solve_nvac(f"const:{c!r}", arch, quant, m, 0.1, ramp)
+            res = nc.invert_nvac(nc.AffineLnCover(c), m, ramp)
             expected = m * max(1, math.ceil(36.0 / (eps * eps) * c / m))
             assert res.nvac == expected, (c, ramp, m)
         report(2, "synthetic constant ln N inverts to m*ceil(36c/(m eps^2)) exactly, 20 draws")
@@ -262,10 +254,10 @@ class TestCriterion7NumericalHygiene:
             for method in nc.METHODS:
                 m0 = 1e20 if method == "pdim" else 59000.0
                 fn = ln_cover_fn(method, BASELINE, BASELINE_QUANT, 0.1)
-                vals = [fn(float(e), math.log(m0)) for e in eps_grid]
+                vals = [fn(float(e)).at(math.log(m0)) for e in eps_grid]
                 assert all(a >= b - 1e-9 for a, b in zip(vals, vals[1:])), method
                 if method in ("ours", "lipschitz"):
-                    vals = [fn(0.099, math.log(float(m))) for m in m_grid]
+                    vals = [fn(0.099).at(math.log(float(m))) for m in m_grid]
                     assert all(a <= b + 1e-9 for a, b in zip(vals, vals[1:])), method
 
         # width and depth growth never shrink the size-driven bounds
@@ -273,12 +265,11 @@ class TestCriterion7NumericalHygiene:
             arch = nc.NetworkArch(12, widths, sigma=0.05)
             counts = nc.norms.count_quantifiers(arch)
             quant = nc.ArchQuantifiers(
-                d_max=counts["d_max"], W_rvo=counts["W_rvo"], W_win=counts["W_win"],
-                r_rvo=counts["r_rvo"], w=counts["w"], V=2.0,
+                **counts, V=2.0,
                 s=(1.0,) * len(widths), b=(1.0,) * len(widths), x_frob=1.0,
             )
             m0 = 1e30 if method == "pdim" else 1e5
-            return ln_cover_fn(method, arch, quant, 0.1)(0.099, math.log(m0))
+            return ln_cover_fn(method, arch, quant, 0.1)(0.099).at(math.log(m0))
 
         for method in ("ours", "pdim"):
             base = size_value(method, (4, 4, 3))

@@ -20,7 +20,7 @@ import oracles
 
 BASELINE = nc.NetworkArch(784, (250, 250, 250, 10), sigma=0.05, gamma=0.1)
 BASELINE_QUANT = nc.ArchQuantifiers(
-    d_max=250, W_rvo=321250, W_win=127500, r_rvo=751, w=784,
+    W_rvo=321250, r_rvo=751, w=784,
     V=10.0, s=(3.0, 2.0, 2.0, 1.5), b=(40.0, 25.0, 25.0, 8.0), x_frob=9.2,
 )
 
@@ -50,7 +50,7 @@ class TestFrozenBaselineValues:
     def test_pdim_toy(self):
         arch = nc.NetworkArch(2, (2, 2), gamma=0.1)
         quant = nc.ArchQuantifiers(
-            d_max=2, W_rvo=6, W_win=4, r_rvo=3, w=2,
+            W_rvo=6, r_rvo=3, w=2,
             V=1.5, s=(1.0, 1.0), b=(1.0, 1.0), x_frob=1.0,
         )
         got = ln_cover(query("pdim", epsilon=0.2, m=1e6, arch=arch, quant=quant)).ln_n
@@ -86,9 +86,7 @@ class TestAgainstLiveOracle:
             b = tuple(si * float(rng.uniform(1.0, 6.0)) for si in s)
             counts = nc.norms.count_quantifiers(arch)
             quant = nc.ArchQuantifiers(
-                d_max=counts["d_max"], W_rvo=counts["W_rvo"], W_win=counts["W_win"],
-                r_rvo=counts["r_rvo"], w=counts["w"],
-                V=float(rng.uniform(1.1, 20.0)), s=s, b=b,
+                **counts, V=float(rng.uniform(1.1, 20.0)), s=s, b=b,
                 x_frob=float(rng.uniform(0.1, 20.0)),
             )
             eps = float(rng.uniform(0.01, 0.4))
@@ -98,7 +96,7 @@ class TestAgainstLiveOracle:
                 m = float(pdim_capacity(quant.W_rvo, quant.r_rvo)) * float(
                     rng.uniform(2.0, 100.0)
                 )
-            got = ln_cover_fn(method, arch, quant, gamma)(eps, math.log(m))
+            got = ln_cover_fn(method, arch, quant, gamma)(eps).at(math.log(m))
             want = float(oracles.oracle_ln(method, arch, quant, eps, gamma, m))
             assert got == pytest.approx(want, rel=1e-9), (method, eps, gamma, m)
 
@@ -191,7 +189,7 @@ class TestStructuralIdentities:
         def at_depth(t):
             arch = nc.NetworkArch(20, (8,) * (t - 1) + (4,), sigma=0.05)
             quant = nc.ArchQuantifiers(
-                d_max=8, W_rvo=1, W_win=1, r_rvo=1, w=20,
+                W_rvo=1, r_rvo=1, w=20,
                 V=2.0, s=(1.0,) * t, b=(1.0,) * t, x_frob=1.0,
             )
             return ln_cover(query("norm_based", epsilon=0.2, arch=arch, quant=quant)).ln_n
@@ -208,25 +206,25 @@ class TestMonotonicity:
     def test_nonincreasing_in_eps(self, method):
         m = 1e20 if method == "pdim" else 59000.0
         fn = ln_cover_fn(method, BASELINE, BASELINE_QUANT, 0.1)
-        vals = [fn(float(e), math.log(m)) for e in self.EPS_GRID]
+        vals = [fn(float(e)).at(math.log(m)) for e in self.EPS_GRID]
         assert all(a >= b - 1e-9 for a, b in zip(vals, vals[1:]))
 
     @pytest.mark.parametrize("method", ["ours", "lipschitz"])
     def test_nondecreasing_in_m(self, method):
         fn = ln_cover_fn(method, BASELINE, BASELINE_QUANT, 0.1)
-        vals = [fn(0.099, math.log(float(m))) for m in self.M_GRID]
+        vals = [fn(0.099).at(math.log(float(m))) for m in self.M_GRID]
         assert all(a <= b + 1e-9 for a, b in zip(vals, vals[1:]))
 
     def test_pdim_nondecreasing_in_m(self):
         fn = ln_cover_fn("pdim", BASELINE, BASELINE_QUANT, 0.1)
         grid = np.geomspace(1e17, 1e25, 8)
-        vals = [fn(0.099, math.log(float(m))) for m in grid]
+        vals = [fn(0.099).at(math.log(float(m))) for m in grid]
         assert all(a <= b + 1e-9 for a, b in zip(vals, vals[1:]))
 
     @pytest.mark.parametrize("method", ["norm_based", "spectral"])
     def test_m_invariant(self, method):
         fn = ln_cover_fn(method, BASELINE, BASELINE_QUANT, 0.1)
-        vals = {fn(0.099, math.log(float(m))) for m in self.M_GRID}
+        vals = {fn(0.099).at(math.log(float(m))) for m in self.M_GRID}
         assert len(vals) == 1
 
     @pytest.mark.parametrize("method", ["ours", "pdim"])
@@ -235,12 +233,11 @@ class TestMonotonicity:
             arch = nc.NetworkArch(12, widths, sigma=0.05)
             counts = nc.norms.count_quantifiers(arch)
             quant = nc.ArchQuantifiers(
-                d_max=counts["d_max"], W_rvo=counts["W_rvo"], W_win=counts["W_win"],
-                r_rvo=counts["r_rvo"], w=counts["w"],
-                V=2.0, s=(1.0,) * len(widths), b=(1.0,) * len(widths), x_frob=1.0,
+                **counts, V=2.0,
+                s=(1.0,) * len(widths), b=(1.0,) * len(widths), x_frob=1.0,
             )
             m = 1e30 if method == "pdim" else 1e5
-            return ln_cover_fn(method, arch, quant, 0.1)(0.099, math.log(m))
+            return ln_cover_fn(method, arch, quant, 0.1)(0.099).at(math.log(m))
 
         assert value((4, 4, 3)) <= value((8, 4, 3)) <= value((8, 8, 3))
         assert value((4, 4, 3)) <= value((4, 4, 4, 3))
@@ -268,7 +265,7 @@ class TestMonotonicity:
     def test_nonnegative_and_finite(self, eps, gamma, method):
         m = 1e20 if method == "pdim" else 59000.0
         fn = ln_cover_fn(method, BASELINE, BASELINE_QUANT, gamma)
-        val = fn(eps, math.log(m))
+        val = fn(eps).at(math.log(m))
         assert val >= 0.0 and math.isfinite(val)
 
 

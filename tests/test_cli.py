@@ -150,19 +150,17 @@ class TestNvacCommand:
         spec_row = next(l for l in lines if l.startswith("spectral"))
         assert spec_row.split(",")[-1] == ""  # no error recorded
 
-    def test_const_self_test_row(self, trained_run):
+    @pytest.mark.parametrize("method", ["nope", "const:100.0"])
+    @pytest.mark.parametrize("command", ["nvac", "bounds"])
+    def test_unknown_method_exits_2(self, trained_run, command, method, capsys):
         tmp_path, cfg, ckpt = trained_run
-        out = tmp_path / "const_out"
-        main([
-            "nvac", "--config", str(cfg), "--checkpoint", str(ckpt),
-            "--out", str(out), "--methods", "const:100.0", "--seed", "5",
+        code = main([
+            command, "--config", str(cfg), "--checkpoint", str(ckpt),
+            "--out", str(tmp_path / "unknown_method"), "--methods", f"ours,{method}",
         ])
-        lines = (out / "nvac.csv").read_text().splitlines()
-        row = dict(zip(NVAC_HEADER, lines[1].split(",")))
-        m = int(float(row["m"]))
-        eps = float(row["epsilon"])
-        expected = m * max(1, math.ceil(36.0 / (eps * eps) * 100.0 / m))
-        assert float(row["log10_nvac"]) == pytest.approx(math.log10(expected), rel=1e-12)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unknown method" in err and repr(method) in err
 
 
 class TestSweepCommand:
@@ -210,22 +208,6 @@ class TestSweepCommand:
         vals = [float(r["log10_nvac"]) for r in rows]
         assert vals[0] >= vals[1] >= vals[2]  # smaller noise, larger NVAC
 
-    def test_workers_do_not_change_output(self, trained_run, tmp_path):
-        _, cfg, ckpt = trained_run
-        outputs = []
-        for name, workers in (("w1", 1), ("w2", 3)):
-            cfg_w = write_config(tmp_path, {
-                "sweep.log10_sigmas": [-200, -50, -1], "methods": ["ours"],
-                "sweep.workers": workers,
-            }, name=f"cfg_{name}.json")
-            out = tmp_path / name
-            assert main([
-                "sweep", "--config", str(cfg_w), "--axis", "sigma",
-                "--checkpoint", str(ckpt), "--out", str(out), "--seed", "5",
-            ]) == 0
-            outputs.append((out / "sweep_sigma.csv").read_bytes())
-        assert outputs[0] == outputs[1]
-
     def test_loss_sigma_sweep(self, tmp_path):
         cfg = write_config(tmp_path, {
             "sweep.loss_sigmas": [0.0, 0.1], "sweep.mc_samples": 5,
@@ -271,3 +253,9 @@ class TestErrorPaths:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"no_such": 1}))
         assert main(["train", "--config", str(path)]) == 2
+
+    def test_unknown_config_method(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"methods": ["ours", "const:100.0"]})
+        out = tmp_path / "x"
+        assert main(["sweep", "--config", str(cfg), "--axis", "depth", "--out", str(out)]) == 2
+        assert "unknown method 'const:100.0'" in capsys.readouterr().err

@@ -1,11 +1,14 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import noisycover as nc
-from noisycover.genbound import dudley_integral, full_gb, solve_nvac, NvacError
-from noisycover.bounds import BoundPreconditionError
+from noisycover.genbound import dudley_integral, full_gb, invert_nvac, solve_nvac, NvacError
+from noisycover.bounds import AffineLnCover, BoundPreconditionError
 
 
 class TestDudleyIntegral:
@@ -70,31 +73,30 @@ class TestFullGb:
 def toy():
     arch = nc.NetworkArch(4, (3, 2), sigma=0.05, gamma=0.1)
     quant = nc.ArchQuantifiers(
-        d_max=3, W_rvo=4 * 3 + 3, W_win=6, r_rvo=4, w=4,
+        W_rvo=4 * 3 + 3, r_rvo=4, w=4,
         V=2.0, s=(1.0, 1.0), b=(2.0, 2.0), x_frob=1.0,
     )
     return arch, quant
 
 
 class TestSolveNvac:
-    def test_constant_closed_form(self, toy):
-        arch, quant = toy
+    def test_constant_closed_form(self):
         rng = np.random.default_rng(42)
         for _ in range(20):
             c = float(rng.uniform(0.5, 1e8))
             ramp = float(rng.uniform(0.0, 0.9))
             m = int(rng.integers(10, 10**6))
-            res = solve_nvac(f"const:{c}", arch, quant, m, 0.1, ramp)
+            res = invert_nvac(AffineLnCover(c), m, ramp)
             eps = (1.0 - ramp) / 10.0
             assert res.nvac == m * max(1, math.ceil(36.0 / (eps * eps) * c / m))
             assert res.converged and res.n_star >= 1
 
     def test_spectral_matches_closed_form(self, toy):
         arch, quant = toy
-        fn = nc.ln_cover_fn("spectral", arch, quant, 0.1)
-        c = fn(0.099, 0.0)
+        terms = nc.ln_cover_fn("spectral", arch, quant, 0.1)(0.099)
+        assert terms.b == 0.0
         direct = solve_nvac("spectral", arch, quant, 500, 0.1, 0.01)
-        const = solve_nvac(f"const:{c!r}", arch, quant, 500, 0.1, 0.01)
+        const = invert_nvac(AffineLnCover(terms.a), 500, 0.01)
         assert direct.nvac == const.nvac
 
     def test_crossing_certificate(self, toy):
@@ -102,12 +104,12 @@ class TestSolveNvac:
         m = 1000
         res = solve_nvac("ours", arch, quant, m, 0.1, 0.01)
         assert res.converged
-        fn = nc.ln_cover_fn("ours", arch, quant, 0.1)
         eps = res.epsilon_used
+        terms = nc.ln_cover_fn("ours", arch, quant, 0.1)(eps)
         big_m = res.n_star * m
-        assert 36 * fn(eps, math.log(big_m)) / eps**2 <= big_m
+        assert 36 * terms.at(math.log(big_m)) / eps**2 <= big_m
         shrunk = big_m / 1.01
-        assert 36 * fn(eps, math.log(shrunk)) / eps**2 > shrunk
+        assert 36 * terms.at(math.log(shrunk)) / eps**2 > shrunk
 
     def test_nvac_nondecreasing_in_ramp_loss(self, toy):
         arch, quant = toy
@@ -152,18 +154,6 @@ class TestSolveNvac:
         with pytest.raises(BoundPreconditionError):
             solve_nvac("lipschitz", arch, low_v, 100, 0.1, 0.01)
 
-    def test_ceiling_diagnostics(self, toy):
-        arch, quant = toy
-
-        def runaway(eps, ln_m):
-            # grows like M itself and blows past double range, so no
-            # crossing exists below the search ceiling
-            return math.exp(ln_m) if ln_m <= 600.0 else math.inf
-
-        res = solve_nvac(runaway, arch, quant, 100, 0.1, 0.01)
-        assert not res.converged
-        assert res.nvac_log10 >= nc.genbound.LOG10_M_CEILING - 1
-
     def test_result_field_consistency(self, toy):
         arch, quant = toy
         res = solve_nvac("ours", arch, quant, 1000, 0.1, 0.05)
@@ -180,3 +170,78 @@ class TestSolveNvac:
         res = solve_nvac("norm_based", arch, huge, 1000, 0.1, 0.01)
         assert res.converged
         assert res.nvac_log10 > 60
+
+
+def _vacuous_margin(a, b, eps, big_m):
+    """36 (a + b ln M) / eps^2 - M: positive while the bound is vacuous at M."""
+    return 36.0 / (eps * eps) * (a + b * math.log(big_m)) - big_m
+
+
+class TestInvertNvac:
+    """invert_nvac on random affine terms ln N = a + b ln M."""
+
+    def check(self, a, b, m, ramp):
+        res = invert_nvac(AffineLnCover(a, b), m, ramp)
+        eps = (1.0 - ramp) / 10.0
+        assert res.converged
+        assert res.n_star >= 1 and res.n_star == math.floor(res.n_star)
+        big_m = res.n_star * m
+        assert _vacuous_margin(a, b, eps, big_m) <= 0.0, "certificate"
+        if res.n_star >= 2:  # one replication fewer is still vacuous
+            prev = (res.n_star - 1) * m
+            assert _vacuous_margin(a, b, eps, prev) > -1e-12 * prev, "minimality"
+
+    @given(
+        st.floats(0.0, 1e9),
+        st.one_of(st.just(0.0), st.floats(0.0, 1e7)),
+        st.integers(1, 10**7),
+        st.floats(0.0, 0.95),
+    )
+    def test_certificate_and_minimality(self, a, b, m, ramp):
+        self.check(a, b, m, ramp)
+
+    @given(
+        st.floats(1e-3, 1e6),
+        st.floats(0.0, 0.3),
+        st.sampled_from([1, 2]),
+        st.floats(0.0, 0.95),
+    )
+    def test_start_left_of_maximum(self, b, frac, m, ramp):
+        # m < e and a < b put ln m left of the excess maximum at 1 - a/b
+        a = frac * b
+        assert math.log(m) < 1.0 - a / b
+        self.check(a, b, m, ramp)
+
+    @given(st.floats(0.0, 1e9), st.integers(1, 10**7), st.floats(0.0, 0.95))
+    def test_zero_slope_is_closed_form(self, a, m, ramp):
+        res = invert_nvac(AffineLnCover(a), m, ramp)
+        eps = (1.0 - ramp) / 10.0
+        assert res.nvac == m * max(1, math.ceil(36.0 / (eps * eps) * a / m))
+
+    def test_zero_slope_beyond_double_range(self):
+        a, m, ramp = 1e306, 1000, 0.01
+        eps = (1.0 - ramp) / 10.0
+        res = invert_nvac(AffineLnCover(a), m, ramp)
+        want = (math.log(36.0) - 2.0 * math.log(eps) + math.log(a)) / math.log(10.0)
+        assert res.converged and res.nvac is None
+        assert res.nvac_log10 > 308
+        assert res.nvac_log10 == pytest.approx(want, rel=1e-12)
+
+    def test_positive_slope_beyond_double_range(self):
+        # e^L = k (a + b L) has the larger root L = -W_{-1}(-e^{-a/b} / (k b)) - a/b
+        a, b, m, ramp = 1e300, 1e305, 1000, 0.01
+        eps = (1.0 - ramp) / 10.0
+        res = invert_nvac(AffineLnCover(a, b), m, ramp)
+        with mp.workdps(50):
+            k = mp.mpf(36) / mp.mpf(eps) ** 2
+            ratio = mp.mpf(a) / mp.mpf(b)
+            root = -mp.lambertw(-mp.exp(-ratio) / (k * mp.mpf(b)), -1).real - ratio
+            want = float(root / mp.log(10))
+        assert res.converged and res.nvac is None
+        assert res.nvac_log10 > 308
+        assert res.nvac_log10 == pytest.approx(want, rel=1e-12)
+
+    def test_floor_at_validity_threshold(self):
+        # a bound valid only above ln_m_min is never inverted below it
+        res = invert_nvac(AffineLnCover(0.0, 1e-9, math.log(1e6)), 10, 0.01)
+        assert res.converged and res.nvac > 1e6

@@ -112,15 +112,13 @@ class TestQuantifiers:
     def test_baseline_counts(self):
         arch = nc.NetworkArch(784, (250, 250, 250, 10))
         counts = count_quantifiers(arch)
-        assert counts == {
-            "d_max": 250, "W_rvo": 321250, "W_win": 127500, "r_rvo": 751, "w": 784,
-        }
+        assert counts == {"W_rvo": 321250, "r_rvo": 751, "w": 784}
 
     def test_single_layer_degenerate(self):
         arch = nc.NetworkArch(6, (3,))
         counts = count_quantifiers(arch)
         assert counts["W_rvo"] is None and counts["r_rvo"] is None
-        assert counts["W_win"] == 0 and counts["w"] == 6
+        assert counts["w"] == 6
 
     def test_zero_weights(self):
         arch = nc.NetworkArch(3, (2, 2))
