@@ -11,6 +11,7 @@ X of shape (n, fan_in) to act(X @ W). No bias terms.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -152,22 +153,58 @@ def _as_batch(arch: NetworkArch, x) -> tuple[np.ndarray, bool]:
     return x, single
 
 
+def _finish_pass(params: ParamSet, first: np.ndarray, sigma: float, rng) -> np.ndarray:
+    """Layers 2..T of one pass, started from the noise-free layer-1 activation.
+
+    `first` is act(X @ W_1) and is left unchanged. When sigma > 0, N(0, sigma^2 I)
+    is added after every activation, layer 1's included, drawn from rng in
+    layer order; at sigma = 0 rng is not touched.
+    """
+    z = first
+    for i, w in enumerate(params.weights):
+        if i > 0:
+            z = activation(z @ w)
+        if sigma > 0:
+            noise = rng.standard_normal(z.shape)
+            noise *= sigma
+            noise += z
+            z = noise
+    return z
+
+
+def _mean_of_passes(
+    params: ParamSet, x: np.ndarray, n_samples: int, rng_for_pass: Callable[[int], np.random.Generator]
+) -> np.ndarray:
+    """Mean output of n_samples noisy passes over the batch x.
+
+    Pass s draws its noise from rng_for_pass(s). The noise-free first layer is
+    computed once for all passes; at sigma = 0 every pass is the same, so one
+    pass is run and added n_samples times, the same sum as running them all.
+    """
+    sigma = params.arch.sigma
+    first = activation(x @ params.weights[0])
+    if sigma > 0:
+        passes = (_finish_pass(params, first, sigma, rng_for_pass(s)) for s in range(n_samples))
+    else:
+        passes = itertools.repeat(_finish_pass(params, first, 0.0, None), n_samples)
+    acc = np.zeros((x.shape[0], params.arch.num_classes))
+    for out in passes:
+        acc += out
+    acc /= n_samples
+    return acc
+
+
 def forward_deterministic(params: ParamSet, x) -> np.ndarray:
     """Noise-free forward pass. Accepts a single vector or a (n, d) batch."""
     z, single = _as_batch(params.arch, x)
-    for w in params.weights:
-        z = activation(z @ w)
+    z = _finish_pass(params, activation(z @ params.weights[0]), 0.0, None)
     return z[0] if single else z
 
 
 def forward_noisy(params: ParamSet, x, rng: np.random.Generator) -> np.ndarray:
     """One noisy forward pass: N(0, sigma^2 I) added after every activation."""
-    arch = params.arch
-    z, single = _as_batch(arch, x)
-    for w in params.weights:
-        z = activation(z @ w)
-        if arch.sigma > 0:
-            z = z + arch.sigma * rng.standard_normal(z.shape)
+    z, single = _as_batch(params.arch, x)
+    z = _finish_pass(params, activation(z @ params.weights[0]), params.arch.sigma, rng)
     return z[0] if single else z
 
 
@@ -177,11 +214,9 @@ def expected_output(
     """Arithmetic mean of n_samples independent noisy forward passes."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    acc = forward_noisy(params, x, rng)
-    acc = np.array(acc, dtype=float)
-    for _ in range(n_samples - 1):
-        acc += forward_noisy(params, x, rng)
-    return acc / n_samples
+    x, single = _as_batch(params.arch, x)
+    acc = _mean_of_passes(params, x, n_samples, lambda s: rng)
+    return acc[0] if single else acc
 
 
 def margin(u, y: int) -> float:
@@ -247,11 +282,10 @@ def evaluate(
     if mode == "deterministic":
         outputs = forward_deterministic(params, images)
     elif mode == "expected":
-        outputs = np.zeros((images.shape[0], k))
-        for s in range(n_samples):
-            rng = np.random.default_rng([seed, s])
-            outputs += forward_noisy(params, images, rng)
-        outputs /= n_samples
+        images, _ = _as_batch(params.arch, images)
+        outputs = _mean_of_passes(
+            params, images, n_samples, lambda s: np.random.default_rng([seed, s])
+        )
     else:
         raise ValueError(f"unknown mode {mode!r}")
 

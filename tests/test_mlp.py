@@ -176,6 +176,52 @@ class TestExpectedOutput:
         assert np.all(np.abs(mean - target) <= 3 * sigma / np.sqrt(n))
 
 
+class TestExpectedModeHoist:
+    """evaluate(mode="expected") computes layer 1 once per call and, at sigma 0,
+    one pass; both must give bit for bit the mean of independent full passes."""
+
+    @staticmethod
+    def naive_losses(params, images, labels, gamma, n_samples, seed):
+        outputs = np.zeros((images.shape[0], params.arch.num_classes))
+        for s in range(n_samples):
+            outputs += nc.forward_noisy(params, images, np.random.default_rng([seed, s]))
+        outputs /= n_samples
+        rows = np.arange(len(labels))
+        true = outputs[rows, labels]
+        rest = outputs.copy()
+        rest[rows, labels] = -np.inf
+        ramp = float(np.mean(nc.ramp(-(true - rest.max(axis=1)), gamma)))
+        zero_one = float(np.mean(np.argmax(outputs, axis=1) != labels))
+        return ramp, zero_one
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.05, 0.25])
+    @pytest.mark.parametrize("depth", [1, 3])
+    @pytest.mark.parametrize("n_samples", [1, 7])
+    def test_evaluate_matches_naive_loop(self, sigma, depth, n_samples, rng):
+        arch = nc.NetworkArch(6, (5,) * (depth - 1) + (3,), sigma=sigma, gamma=0.1)
+        p = nc.init_params(arch, depth)
+        images = rng.uniform(0, 1, (25, 6))
+        labels = rng.integers(0, 3, 25)
+        rep = nc.evaluate(p, images, labels, 0.1, mode="expected", n_samples=n_samples, seed=8)
+        ramp, zero_one = self.naive_losses(p, images, labels, 0.1, n_samples, 8)
+        assert rep.ramp_loss == ramp
+        assert rep.zero_one_loss == zero_one
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.05, 0.25])
+    @pytest.mark.parametrize("depth", [1, 3])
+    @pytest.mark.parametrize("n_samples", [1, 7])
+    def test_expected_output_matches_naive_mean(self, sigma, depth, n_samples, rng):
+        arch = nc.NetworkArch(6, (5,) * (depth - 1) + (3,), sigma=sigma)
+        p = nc.init_params(arch, depth)
+        x = rng.uniform(0, 1, (25, 6))
+        g = np.random.default_rng(30)
+        naive = nc.forward_noisy(p, x, g)
+        for _ in range(n_samples - 1):
+            naive = naive + nc.forward_noisy(p, x, g)
+        got = nc.expected_output(p, x, n_samples, np.random.default_rng(30))
+        assert np.array_equal(got, naive / n_samples)
+
+
 class TestMarginRampZeroOne:
     def test_margin_examples(self):
         assert nc.margin([0.9, 0.1], 0) == pytest.approx(0.8)
