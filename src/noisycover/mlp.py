@@ -127,12 +127,10 @@ def init_params(arch: NetworkArch, seed: int) -> ParamSet:
 def activation(x):
     """Zero-centered sigmoid 1/(1+exp(-x)) - 1/2, mapping R to [-1/2, 1/2].
 
-    Odd, strictly increasing, 1-Lipschitz. Computed through exp(-|x|) so it
-    never overflows.
+    Odd, strictly increasing, 1-Lipschitz. Computed as the identical
+    tanh(x/2)/2, one ufunc that is exactly odd and saturates at +-1/2.
     """
-    x = np.asarray(x, dtype=float)
-    z = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z)) - 0.5
+    out = 0.5 * np.tanh(0.5 * np.asarray(x, dtype=float))
     return float(out) if out.ndim == 0 else out
 
 

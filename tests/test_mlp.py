@@ -14,6 +14,13 @@ def plain_sigmoid(x):
     return 1.0 / (1.0 + math.exp(-x)) - 0.5
 
 
+# dense grid over [-40, 40] plus signed zeros, subnormals, overflow and infinities
+ACT_GRID = np.concatenate([
+    np.linspace(-40.0, 40.0, 1_600_001),
+    [0.0, -0.0, 5e-324, -5e-324, 710.0, -710.0, 1e9, -1e9, np.inf, -np.inf],
+])
+
+
 class TestActivation:
     def test_zero(self):
         assert nc.activation(0.0) == 0.0
@@ -25,9 +32,18 @@ class TestActivation:
     def test_value_at_one(self):
         assert nc.activation(1.0) == pytest.approx(0.23105857863000487, rel=1e-12)
 
-    @given(st.floats(-700, 700))
+    @given(st.floats(allow_nan=False))
     def test_odd(self, x):
-        assert nc.activation(-x) == pytest.approx(-nc.activation(x), abs=1e-15)
+        assert nc.activation(-x) == -nc.activation(x)
+
+    def test_exactly_odd_on_grid(self):
+        assert np.array_equal(nc.activation(-ACT_GRID), -nc.activation(ACT_GRID))
+
+    def test_matches_exp_branch_form(self):
+        # the earlier implementation, through e = exp(-|x|); measured max 1.67e-16
+        e = np.exp(-np.abs(ACT_GRID))
+        branch = np.where(ACT_GRID >= 0, 1.0 / (1.0 + e), e / (1.0 + e)) - 0.5
+        assert np.max(np.abs(nc.activation(ACT_GRID) - branch)) <= 2.3e-16
 
     @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
     def test_lipschitz_and_monotone(self, a, b):
@@ -37,9 +53,9 @@ class TestActivation:
             assert fa <= fb
 
     def test_bounded(self):
-        xs = np.linspace(-1000, 1000, 4001)
-        ys = nc.activation(xs)
-        assert np.all(ys >= -0.5) and np.all(ys <= 0.5)
+        for xs in (np.linspace(-1000, 1000, 4001), ACT_GRID):
+            ys = nc.activation(xs)
+            assert np.all(ys >= -0.5) and np.all(ys <= 0.5)
 
 
 class TestInit:
