@@ -100,7 +100,10 @@ def validate_config(cfg: dict, schema=None, prefix: str = "") -> None:
         allowed = schema[key]
         if isinstance(allowed, dict):
             validate_config(value, allowed, prefix=f"{prefix}{key}.")
-        elif not isinstance(value, allowed):
+        # bool subclasses int, so true/false would pass as a number
+        elif not isinstance(value, allowed) or (
+            isinstance(value, bool) and bool not in allowed
+        ):
             names = "/".join(t.__name__ for t in allowed)
             raise ConfigError(f"{prefix}{key}: expected {names}, got {type(value).__name__}")
 
@@ -168,11 +171,20 @@ def _load_data(cfg: dict, mnist_dir=None):
     raise ConfigError(f"unknown data.kind {kind!r}")
 
 
-def _build_arch(cfg: dict, input_dim: int) -> NetworkArch:
+def _check_final_width(widths, num_classes: int) -> None:
+    # the bounds take p_T from the final width, so it must be the class count
+    if not widths or widths[-1] != num_classes:
+        raise ConfigError(
+            f"arch.widths {list(widths)} must end in the data's {num_classes} classes"
+        )
+
+
+def _build_arch(cfg: dict, train) -> NetworkArch:
     arch = cfg.get("arch", {})
     widths = tuple(arch.get("widths", (250, 250, 250, 10)))
+    _check_final_width(widths, train.num_classes)
     return NetworkArch(
-        input_dim, widths, sigma=arch.get("sigma", 0.05), gamma=arch.get("gamma", 0.1)
+        train.dim, widths, sigma=arch.get("sigma", 0.05), gamma=arch.get("gamma", 0.1)
     )
 
 
@@ -225,7 +237,7 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     train, val, test = _load_data(cfg, args.mnist)
-    arch = _build_arch(cfg, train.dim)
+    arch = _build_arch(cfg, train)
     config = _build_train_config(cfg, seed)
     stop = cfg.get("train", {}).get("stop_train_zero_one", 0.005)
 
@@ -379,6 +391,7 @@ SWEEP_HEADERS = {
 
 
 def _sweep_train_point(cfg, widths, sigma, gamma, train, seed):
+    _check_final_width(widths, train.num_classes)
     arch = NetworkArch(train.dim, widths, sigma=sigma, gamma=gamma)
     config = _build_train_config(cfg, seed)
     stop = cfg.get("train", {}).get("stop_train_zero_one", 0.005)
@@ -468,6 +481,8 @@ def cmd_sweep(args) -> int:
                     "train_zero_one": tr.zero_one_loss, "test_zero_one": te.zero_one_loss,
                     "train_ramp": tr.ramp_loss, "test_ramp": te.ramp_loss,
                 }]
+            except ConfigError:  # the same for every point: stop the sweep
+                raise
             except Exception as e:
                 return [{"sigma": sig, "train_zero_one": "", "test_zero_one": "",
                          "train_ramp": "", "test_ramp": "", "error": str(e)}]
@@ -663,6 +678,7 @@ def main(argv=None) -> int:
         FileNotFoundError,
         dataio.IdxFormatError,
         ckpt.CheckpointError,
+        norms.SpectralNormError,
         TrainingDiverged,
     ) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -26,6 +26,10 @@ def two_one_norm(w: np.ndarray) -> float:
     return float(np.linalg.norm(w, axis=0).sum())
 
 
+class SpectralNormError(RuntimeError):
+    """Power iteration did not converge; its estimate may be below the true norm."""
+
+
 @dataclass(frozen=True)
 class PowerIterationResult:
     value: float
@@ -113,7 +117,8 @@ def quantifiers(
     """All quantifiers for a parameterized network.
 
     The input norm comes from the training set (or can be passed directly
-    when the data is not at hand).
+    when the data is not at hand). Raises SpectralNormError when a layer's
+    power iteration does not converge.
     """
     if params.arch.dims != arch.dims:
         raise ValueError("params shape does not match arch")
@@ -122,7 +127,15 @@ def quantifiers(
             raise ValueError("need either a training set or x_frob")
         x_frob = input_frobenius(train)
     counts = count_quantifiers(arch)
-    s = tuple(spectral_norm(w, seed=spectral_seed).value for w in params.weights)
+    s = []
+    for i, w in enumerate(params.weights):
+        res = spectral_norm(w, seed=spectral_seed)
+        if not res.converged:  # a norm from below would under-estimate the bounds
+            raise SpectralNormError(
+                f"layer {i + 1}: power iteration for the spectral norm did not "
+                f"converge in {res.iterations} iterations"
+            )
+        s.append(res.value)
     b = tuple(two_one_norm(w) for w in params.weights)
     v = max(one_inf_norm(w) for w in params.weights)
     return ArchQuantifiers(
@@ -130,7 +143,7 @@ def quantifiers(
         r_rvo=counts["r_rvo"],
         w=counts["w"],
         V=v,
-        s=s,
+        s=tuple(s),
         b=b,
         x_frob=float(x_frob),
     )

@@ -55,6 +55,19 @@ class TestConfigValidation:
     def test_valid(self):
         validate_config(TINY_CONFIG)
 
+    @pytest.mark.parametrize("cfg, key", [
+        ({"seed": True}, "seed"),
+        ({"train": {"epochs": True}}, "train.epochs"),
+        ({"train": {"learning_rate": False}}, "train.learning_rate"),
+        ({"arch": {"sigma": True}}, "arch.sigma"),
+    ])
+    def test_bool_is_not_a_number(self, cfg, key):
+        with pytest.raises(ConfigError, match=f"{key}: expected .*, got bool"):
+            validate_config(cfg)
+
+    def test_bool_field_takes_bool(self):
+        validate_config({"train": {"noise_during_training": False}})
+
 
 class TestTrainCommand:
     def test_writes_checkpoint_and_metrics(self, tmp_path):
@@ -253,6 +266,34 @@ class TestErrorPaths:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"no_such": 1}))
         assert main(["train", "--config", str(path)]) == 2
+
+    def test_bool_epochs_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"train.epochs": True})
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert "train.epochs: expected int, got bool" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["train"], ["sweep", "--axis", "sigma"], ["sweep", "--axis", "loss_sigma"],
+    ])
+    def test_final_width_must_match_classes(self, argv, tmp_path, capsys):
+        # the data has 3 classes; a 4-wide output would give the bounds p_T = 4
+        cfg = write_config(tmp_path, {"arch.widths": [8, 4], "sweep.loss_sigmas": [0.0]})
+        out = tmp_path / "x"
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+        assert "must end in the data's 3 classes" in capsys.readouterr().err
+        assert not (out / "checkpoint.ncap").exists()
+
+    def test_nonconverged_spectral_norm_exits_2(self, trained_run, monkeypatch, capsys):
+        tmp_path, cfg, ckpt = trained_run
+        monkeypatch.setattr(
+            nc.norms, "spectral_norm",
+            lambda w, **kw: nc.norms.PowerIterationResult(1.0, False, 1000),
+        )
+        assert main([
+            "nvac", "--config", str(cfg), "--checkpoint", str(ckpt),
+            "--out", str(tmp_path / "nonconverged"),
+        ]) == 2
+        assert "did not converge" in capsys.readouterr().err
 
     def test_unknown_config_method(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"methods": ["ours", "const:100.0"]})

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import noisycover as nc
-from noisycover.norms import count_quantifiers, spectral_norm
+from noisycover import norms
+from noisycover.norms import (
+    PowerIterationResult,
+    SpectralNormError,
+    count_quantifiers,
+    spectral_norm,
+)
 
 matrices = hnp.arrays(
     np.float64,
@@ -139,3 +145,12 @@ class TestQuantifiers:
         params = nc.init_params(arch, 0)
         with pytest.raises(ValueError):
             nc.quantifiers(arch, params)
+
+    def test_nonconverged_spectral_norm_raises(self, monkeypatch):
+        arch = nc.NetworkArch(4, (3, 2))
+        params = nc.init_params(arch, 0)
+        monkeypatch.setattr(
+            norms, "spectral_norm", lambda w, **kw: PowerIterationResult(1.0, False, 1000)
+        )
+        with pytest.raises(SpectralNormError, match="layer 1"):
+            nc.quantifiers(arch, params, x_frob=1.0)
