@@ -130,7 +130,10 @@ def activation(x):
     Odd, strictly increasing, 1-Lipschitz. Computed as the identical
     tanh(x/2)/2, one ufunc that is exactly odd and saturates at +-1/2.
     """
-    out = 0.5 * np.tanh(0.5 * np.asarray(x, dtype=float))
+    out = np.array(x, dtype=float)  # the one array this allocates
+    out *= 0.5
+    np.tanh(out, out=out)
+    out *= 0.5
     return float(out) if out.ndim == 0 else out
 
 
@@ -171,7 +174,10 @@ def _finish_pass(params: ParamSet, first: np.ndarray, sigma: float, rng) -> np.n
 
 
 def _mean_of_passes(
-    params: ParamSet, x: np.ndarray, n_samples: int, rng_for_pass: Callable[[int], np.random.Generator]
+    params: ParamSet,
+    x: np.ndarray,
+    n_samples: int,
+    rng_for_pass: Callable[[int], np.random.Generator],
 ) -> np.ndarray:
     """Mean output of n_samples noisy passes over the batch x.
 
